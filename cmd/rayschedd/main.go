@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		maxTimeout  = fs.Duration("max-timeout", 5*time.Minute, "cap on request-supplied timeout_ms")
 		maxLinks    = fs.Int("max-links", 5000, "largest accepted topology (links)")
 		maxBody     = fs.Int64("max-body", 16<<20, "largest accepted request body (bytes)")
-		sessions    = fs.Int("sessions", 128, "topology session entries (0 disables the session API)")
 		batchLines  = fs.Int("batch-lines", 10000, "largest accepted /v1/estimate/batch request (lines)")
 		drain       = fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain window")
 		logLevel    = fs.String("log-level", "info", "access-log level: debug, info, warn, error, or off")
@@ -55,8 +54,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		faultSpec   = fs.String("faults", "", `inject deterministic faults, e.g. "seed=1,server.handler=error:0.1,pool.job=panic:0.01"`)
 		showVersion = fs.Bool("version", false, "print version and exit")
 	)
-	// -drain predates -drain-timeout; both names set the same window.
-	fs.DurationVar(drain, "drain", *drain, "alias for -drain-timeout")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -84,10 +81,6 @@ func run(args []string, stdout, stderr *os.File) int {
 	if cache == 0 {
 		cache = -1 // flag semantics: 0 disables; Config uses negative for that
 	}
-	sess := *sessions
-	if sess == 0 {
-		sess = -1
-	}
 	// The daemon logs JSON records (one access-log line per request) so the
 	// output is machine-collectable; "off" keeps the pre-observability
 	// silence.
@@ -106,7 +99,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		CacheSize:      cache,
 		MaxLinks:       *maxLinks,
 		MaxBodyBytes:   *maxBody,
-		MaxSessions:    sess,
 		MaxBatchLines:  *batchLines,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,

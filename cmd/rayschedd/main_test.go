@@ -40,8 +40,10 @@ func TestRunVersion(t *testing.T) {
 
 func TestRunBadUsage(t *testing.T) {
 	for name, args := range map[string][]string{
-		"unknown flag":    {"-definitely-not-a-flag"},
-		"positional args": {"serve"},
+		"unknown flag":     {"-definitely-not-a-flag"},
+		"positional args":  {"serve"},
+		"removed -drain":   {"-drain", "1s"},
+		"removed -session": {"-sessions", "0"},
 	} {
 		out, _ := tempOut(t)
 		errOut, _ := tempOut(t)

@@ -1,58 +1,9 @@
 package server
 
 import (
-	"bytes"
-	"fmt"
+	"context"
 	"testing"
 )
-
-func TestCacheHitMiss(t *testing.T) {
-	c := NewCache(4)
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Put("a", []byte("body-a"))
-	body, ok := c.Get("a")
-	if !ok || !bytes.Equal(body, []byte("body-a")) {
-		t.Fatalf("got %q ok=%v", body, ok)
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats hits=%d misses=%d", hits, misses)
-	}
-}
-
-func TestCacheEvictsLRU(t *testing.T) {
-	c := NewCache(2)
-	c.Put("a", []byte("A"))
-	c.Put("b", []byte("B"))
-	c.Get("a") // refresh a: b becomes the eviction candidate
-	c.Put("c", []byte("C"))
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("LRU entry b survived eviction")
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("entry %s evicted wrongly", k)
-		}
-	}
-	if c.Len() != 2 {
-		t.Fatalf("len %d", c.Len())
-	}
-}
-
-func TestCacheUpdateExistingKey(t *testing.T) {
-	c := NewCache(2)
-	c.Put("a", []byte("old"))
-	c.Put("a", []byte("new"))
-	body, _ := c.Get("a")
-	if string(body) != "new" {
-		t.Fatalf("got %q", body)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("len %d", c.Len())
-	}
-}
 
 func TestCacheDisabled(t *testing.T) {
 	c := NewCache(0)
@@ -65,12 +16,22 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCacheManyKeysStaysBounded(t *testing.T) {
-	c := NewCache(8)
-	for i := 0; i < 100; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+// TestRespondHitAllocatesNothing: a cache hit is one locked lookup; only a
+// leader pays for the pending entry and its done channel.
+func TestRespondHitAllocatesNothing(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	ctx := context.Background()
+	compute := func(context.Context) (any, error) { return "body", nil }
+	if _, err := s.respond(ctx, "k", compute); err != nil {
+		t.Fatal(err)
 	}
-	if c.Len() != 8 {
-		t.Fatalf("len %d, want 8", c.Len())
+	allocs := testing.AllocsPerRun(100, func() {
+		if out, err := s.respond(ctx, "k", compute); err != nil || out.source != sourceHit {
+			t.Fatalf("source %s err %v, want a hit", out.source, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("cache hit allocates %.1f times, want 0", allocs)
 	}
 }

@@ -33,7 +33,8 @@
 //     so eviction from the bounded session LRU is always recoverable by
 //     re-uploading.
 //   - Singleflight. Concurrent identical computations collapse onto one
-//     pool job; followers receive the leader's exact bytes (exported as
+//     pool job: a key being computed is a pending cache entry, and
+//     followers receive the leader's exact bytes (exported as
 //     rayschedd_singleflight_shared_total).
 //   - Observability. Per-endpoint request/status counts (obs.Registry
 //     counters, shared with /debug/obs), log-spaced latency and queue-wait
@@ -75,8 +76,9 @@ type Config struct {
 	// QueueSize bounds jobs waiting for a worker; <= 0 selects 64. A full
 	// queue answers 429.
 	QueueSize int
-	// CacheSize bounds the response LRU (entries); 0 selects 256, negative
-	// disables caching.
+	// CacheSize bounds the response cache (ready entries); 0 selects 256,
+	// negative disables caching. Concurrent identical requests share one
+	// computation either way.
 	CacheSize int
 	// MaxLinks rejects larger topologies with 413; <= 0 selects 5000.
 	MaxLinks int
@@ -90,17 +92,9 @@ type Config struct {
 	// MaxSamples caps Monte-Carlo sample counts on /v1/reduce and
 	// /v1/estimate; <= 0 selects 1_000_000.
 	MaxSamples int
-	// MaxSessions bounds the topology session LRU (entries); 0 selects 128,
-	// negative disables the session API (uploads answer 503, refs miss).
-	MaxSessions int
 	// MaxBatchLines caps the number of NDJSON lines one /v1/estimate/batch
 	// request may carry; <= 0 selects 10_000.
 	MaxBatchLines int
-	// MaxTraces bounds how many distinct trace IDs the daemon retains span
-	// collections for (requests arriving with X-Trace-Context; served back
-	// over GET /v1/trace/{id}). LRU eviction; 0 selects 64, negative
-	// disables collection and the fetch endpoint answers 503.
-	MaxTraces int
 	// Log receives one structured access-log record per request (request id,
 	// endpoint, status, duration, queue wait). Nil discards — the zero-value
 	// Config stays silent, matching pre-observability behavior.
@@ -139,14 +133,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxSamples <= 0 {
 		c.MaxSamples = 1_000_000
 	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 128
-	}
 	if c.MaxBatchLines <= 0 {
 		c.MaxBatchLines = 10_000
-	}
-	if c.MaxTraces == 0 {
-		c.MaxTraces = 64
 	}
 	return c
 }
@@ -157,7 +145,6 @@ type Server struct {
 	pool     *Pool
 	cache    *Cache
 	sessions *SessionStore
-	flights  *flightGroup
 	metrics  *Metrics
 	mux      *http.ServeMux
 	log      *slog.Logger
@@ -204,13 +191,12 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		pool:     NewPool(cfg.Workers, cfg.QueueSize),
 		cache:    NewCache(cfg.CacheSize),
-		sessions: NewSessionStore(cfg.MaxSessions),
-		flights:  newFlightGroup(),
+		sessions: NewSessionStore(sessionCapacity),
 		metrics:  NewMetrics(),
 		mux:      http.NewServeMux(),
 		log:      log,
 		tracer:   tracer,
-		traces:   newTraceStore(cfg.MaxTraces),
+		traces:   newTraceStore(),
 		instance: obs.NewRunID(),
 	}
 	s.metrics.SetBuildInfo(version.Version, s.instance, runtime.GOMAXPROCS(0))
@@ -329,13 +315,11 @@ func (s *Server) instrumented(endpoint string, h http.HandlerFunc) http.HandlerF
 		tracer := s.tracer
 		var traceID string
 		var remoteParent uint64
-		if hv := r.Header.Get(obs.HeaderTraceContext); hv != "" && s.traces != nil {
+		if hv := r.Header.Get(obs.HeaderTraceContext); hv != "" {
 			if tc, err := obs.ParseTraceContext(hv); err == nil {
-				if per := s.traces.tracer(tc.TraceID); per != nil {
-					tracer = per
-					traceID = tc.TraceID
-					remoteParent = tc.ParentID
-				}
+				tracer = s.traces.tracer(tc.TraceID)
+				traceID = tc.TraceID
+				remoteParent = tc.ParentID
 			}
 		}
 		var sp *obs.Span
@@ -498,23 +482,24 @@ type computeOutcome struct {
 	source string
 }
 
-// respond resolves one canonical request key into response bytes: LRU
-// lookup, then singleflight join (followers share the leader's bytes), then
-// a fresh pool-admitted, deadline-bounded compute whose marshaled result
-// fills the cache. It is the shared core of the single-request pipeline
-// (serve) and the NDJSON batch loop, so both paths produce byte-identical
-// bodies for identical keys by construction.
+// respond resolves one canonical request key into response bytes with one
+// cache lookup: a ready entry is a hit, a pending one is joined (followers
+// share the leader's bytes), and otherwise this request leads a fresh
+// pool-admitted, deadline-bounded compute whose marshaled result fills the
+// entry. It is the shared core of the single-request pipeline (serve) and
+// the NDJSON batch loop, so both paths produce byte-identical bodies for
+// identical keys by construction.
 //
 // The leader's computation runs detached from its own request's
 // cancellation (bounded by the same deadline): followers still want the
 // result if the leader's client disconnects, and the bytes land in the
 // cache either way.
 func (s *Server) respond(ctx context.Context, key string, compute func(ctx context.Context) (any, error)) (computeOutcome, error) {
-	if body, ok := s.cache.Get(key); ok {
-		return computeOutcome{body: body, source: sourceHit}, nil
+	cached, fl, lead := s.cache.acquire(key)
+	if fl == nil {
+		return computeOutcome{body: cached, source: sourceHit}, nil
 	}
-	fl, leader := s.flights.join(key)
-	if !leader {
+	if !lead {
 		select {
 		case <-fl.done:
 		case <-ctx.Done():
@@ -557,20 +542,16 @@ func (s *Server) respond(ctx context.Context, key string, compute func(ctx conte
 	if err == nil {
 		err = computeErr
 	}
+	s.cache.fill(key, fl, body, err)
 	if err != nil {
-		s.flights.finish(key, fl, nil, err)
 		return out, err
 	}
-	// Fill the cache before releasing the flight so a request landing in
-	// between finds the bytes in the LRU instead of recomputing.
-	s.cache.Put(key, body)
-	s.flights.finish(key, fl, body, nil)
 	out.body = body
 	return out, nil
 }
 
 // serve is the shared request pipeline behind the compute endpoints:
-// cache lookup on the canonical key, singleflight join, pool admission
+// cache lookup on the canonical key (hit, join, or lead), pool admission
 // (429 on overflow), deadline-bounded compute, response marshaling, cache
 // fill. compute runs on a pool worker.
 func (s *Server) serve(w http.ResponseWriter, r *http.Request, endpoint string, params any,
@@ -820,11 +801,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	ref, created, err := s.sessions.Put(canon, net)
-	if err != nil {
-		writeError(w, &httpError{status: http.StatusServiceUnavailable, msg: err.Error()})
-		return
-	}
+	ref, created, _ := s.sessions.Put(canon, net) // Put cannot fail
 	body, err := json.Marshal(topologyResponse{
 		TopologyRef: ref,
 		Links:       net.N(),

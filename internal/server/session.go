@@ -1,20 +1,15 @@
 package server
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"sync"
 
 	"rayfade/internal/network"
 )
 
-// ErrSessionsDisabled is returned by SessionStore.Put when the store was
-// built with a non-positive capacity: the deployment has opted out of the
-// session API, so uploads must fail loudly instead of silently registering
-// refs that every later lookup would miss.
-var ErrSessionsDisabled = errors.New("server: topology sessions disabled")
+// sessionCapacity bounds the daemon's topology session store (entries).
+const sessionCapacity = 128
 
 // TopologyRef returns the canonical session handle for a topology: "sha256:"
 // plus the hex digest of its canonical netio serialization. The ref is
@@ -32,7 +27,6 @@ func TopologyRef(canonical []byte) string {
 // concurrent request that references it, which is safe because the compute
 // paths only read it (Gains builds a fresh Matrix per call).
 type sessionEntry struct {
-	ref   string
 	net   *network.Network
 	canon []byte
 }
@@ -48,77 +42,48 @@ type sessionEntry struct {
 // and gets the same handle back), and a bounded entry count — not wall-clock
 // age — is what protects the daemon's memory against ref churn.
 type SessionStore struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
-
-	hits, misses, evictions uint64
+	mu      sync.Mutex
+	entries lru[sessionEntry]
 }
 
-// NewSessionStore returns an LRU holding at most capacity topologies.
-// capacity <= 0 disables the store: Put fails with ErrSessionsDisabled and
-// every Get misses.
+// NewSessionStore returns a store holding at most capacity topologies;
+// capacity <= 0 holds none.
 func NewSessionStore(capacity int) *SessionStore {
-	return &SessionStore{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element),
-	}
+	return &SessionStore{entries: newLRU[sessionEntry](capacity)}
 }
 
 // Put registers a topology (its canonical serialization plus the parsed
 // network) and returns its ref. created reports whether the upload inserted
 // a new entry; re-uploading a registered topology just refreshes its
-// recency. The caller must not mutate canon or net afterwards.
+// recency. err is always nil. The caller must not mutate canon or net
+// afterwards.
 func (s *SessionStore) Put(canon []byte, net *network.Network) (ref string, created bool, err error) {
 	ref = TopologyRef(canon)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cap <= 0 {
-		return "", false, ErrSessionsDisabled
-	}
-	if el, ok := s.items[ref]; ok {
-		s.order.MoveToFront(el)
-		return ref, false, nil
-	}
-	s.items[ref] = s.order.PushFront(&sessionEntry{ref: ref, net: net, canon: canon})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*sessionEntry).ref)
-		s.evictions++
-	}
-	return ref, true, nil
+	return ref, s.entries.put(ref, sessionEntry{net: net, canon: canon}), nil
 }
 
 // Get resolves a ref to its parsed network and canonical bytes, updating
-// recency and the hit/miss counters. ok is false for refs never uploaded,
-// evicted, or when the store is disabled.
+// recency and the hit/miss counters. ok is false for refs never uploaded or
+// evicted.
 func (s *SessionStore) Get(ref string) (net *network.Network, canon []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, present := s.items[ref]
-	if !present {
-		s.misses++
-		return nil, nil, false
-	}
-	s.hits++
-	s.order.MoveToFront(el)
-	e := el.Value.(*sessionEntry)
-	return e.net, e.canon, true
+	e, ok := s.entries.get(ref)
+	return e.net, e.canon, ok
 }
 
 // Len returns the number of registered topologies.
 func (s *SessionStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.entries.len()
 }
 
 // Stats returns the cumulative hit, miss, and eviction counts.
 func (s *SessionStore) Stats() (hits, misses, evictions uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hits, s.misses, s.evictions
+	return s.entries.hits, s.entries.misses, s.entries.evictions
 }

@@ -35,8 +35,11 @@ func metricsText(t *testing.T, s *Server) string {
 	return sb.String()
 }
 
+// TestSessionStoreLRUAndStats pins what the store adds to the shared LRU
+// (whose recency and eviction order TestLRU covers): refs are content
+// hashes, re-uploads report created=false, and the tallies reach Stats.
 func TestSessionStoreLRUAndStats(t *testing.T) {
-	store := NewSessionStore(2)
+	store := NewSessionStore(1)
 	canon := func(i int) []byte { return []byte(fmt.Sprintf("topology-%d", i)) }
 
 	ref0, created, err := store.Put(canon(0), nil)
@@ -46,35 +49,19 @@ func TestSessionStoreLRUAndStats(t *testing.T) {
 	if want := TopologyRef(canon(0)); ref0 != want {
 		t.Fatalf("ref %q, want content-derived %q", ref0, want)
 	}
-	// Re-upload refreshes recency, does not create.
 	if _, created, _ := store.Put(canon(0), nil); created {
 		t.Fatal("re-upload reported created=true")
 	}
-	ref1, _, _ := store.Put(canon(1), nil)
-	// 0 is refreshed again, so inserting a third evicts 1 — the true LRU.
-	store.Put(canon(0), nil)
-	ref2, _, _ := store.Put(canon(2), nil)
-	if _, _, ok := store.Get(ref1); ok {
-		t.Fatal("LRU entry survived eviction")
+	if _, got, ok := store.Get(ref0); !ok || !bytes.Equal(got, canon(0)) {
+		t.Fatalf("get: ok=%v canon=%q", ok, got)
 	}
-	for _, ref := range []string{ref0, ref2} {
-		if _, _, ok := store.Get(ref); !ok {
-			t.Fatalf("recent entry %s evicted", ref)
-		}
+	store.Put(canon(1), nil) // evicts topology 0
+	if _, _, ok := store.Get(ref0); ok {
+		t.Fatal("entry survived eviction")
 	}
 	hits, misses, evictions := store.Stats()
-	if hits != 2 || misses != 1 || evictions != 1 {
-		t.Fatalf("stats hits=%d misses=%d evictions=%d, want 2/1/1", hits, misses, evictions)
-	}
-}
-
-func TestSessionStoreDisabled(t *testing.T) {
-	store := NewSessionStore(0)
-	if _, _, err := store.Put([]byte("x"), nil); err != ErrSessionsDisabled {
-		t.Fatalf("Put on disabled store: %v, want ErrSessionsDisabled", err)
-	}
-	if _, _, ok := store.Get(TopologyRef([]byte("x"))); ok {
-		t.Fatal("Get on disabled store returned ok")
+	if hits != 1 || misses != 1 || evictions != 1 || store.Len() != 1 {
+		t.Fatalf("stats hits=%d misses=%d evictions=%d len=%d, want 1/1/1/1", hits, misses, evictions, store.Len())
 	}
 }
 
@@ -126,7 +113,7 @@ func TestSessionStoreConcurrent(t *testing.T) {
 // request. Then eviction: the ref answers 404 with a re-upload hint, and
 // re-uploading the same content restores the same handle.
 func TestTopologySessionLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSessions: 2})
+	_, ts := newTestServer(t, Config{})
 	topo := testTopology(t, 16, 1)
 
 	up := uploadTopology(t, ts, topo)
@@ -150,9 +137,10 @@ func TestTopologySessionLifecycle(t *testing.T) {
 		t.Fatalf("ref response differs from inline:\n%s\nvs\n%s", byRef, inline)
 	}
 
-	// Evict by uploading two more topologies into the 2-entry store.
-	uploadTopology(t, ts, testTopology(t, 10, 2))
-	uploadTopology(t, ts, testTopology(t, 10, 3))
+	// Evict by filling the store with sessionCapacity other topologies.
+	for i := 0; i < sessionCapacity; i++ {
+		uploadTopology(t, ts, testTopology(t, 4, uint64(i)+2))
+	}
 	resp, body := post(t, ts, "/v1/estimate", refReq)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted ref: status %d: %s", resp.StatusCode, body)
@@ -197,16 +185,8 @@ func TestTopologyRefValidation(t *testing.T) {
 	}
 }
 
-func TestTopologySessionsDisabled(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSessions: -1})
-	resp, body := post(t, ts, "/v1/topology", testTopology(t, 8, 1))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("upload with sessions disabled: status %d: %s", resp.StatusCode, body)
-	}
-}
-
 func TestSessionMetricsExported(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxSessions: 2})
+	s, ts := newTestServer(t, Config{})
 	up := uploadTopology(t, ts, testTopology(t, 8, 1))
 	refReq, _ := json.Marshal(map[string]any{"topology_ref": up.TopologyRef, "samples": 10})
 	if resp, body := post(t, ts, "/v1/estimate", refReq); resp.StatusCode != http.StatusOK {

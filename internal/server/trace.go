@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/list"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -15,6 +14,10 @@ import (
 // capping the memory one trace can pin.
 const traceRingSpans = 1 << 14
 
+// traceCapacity bounds how many distinct trace IDs a worker retains span
+// collections for.
+const traceCapacity = 64
+
 // traceStore keeps per-trace span collectors for requests that arrived with
 // an X-Trace-Context header: each distinct trace ID gets its own
 // obs.Tracer (own ring, own epoch), so one cluster run's spans are not
@@ -24,83 +27,47 @@ const traceRingSpans = 1 << 14
 //
 // Spans collected here deliberately do not land in the server's main tracer:
 // the request context carries the per-trace tracer instead, so /debug/obs
-// shows locally-traced traffic while cluster traces stay per-run. A nil
-// *traceStore disables collection (requests with trace headers are served
-// normally, nothing is retained).
+// shows locally-traced traffic while cluster traces stay per-run.
 type traceStore struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used
-	items map[string]*list.Element
+	mu      sync.Mutex
+	tracers lru[*obs.Tracer]
 }
 
-type traceEntry struct {
-	id     string
-	tracer *obs.Tracer
-}
-
-// newTraceStore returns a store retaining at most capacity traces; a
-// negative capacity disables collection (nil store).
-func newTraceStore(capacity int) *traceStore {
-	if capacity < 0 {
-		return nil
-	}
-	return &traceStore{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[string]*list.Element),
-	}
+func newTraceStore() *traceStore {
+	return &traceStore{tracers: newLRU[*obs.Tracer](traceCapacity)}
 }
 
 // tracer returns (creating on first use) the collector for trace id,
 // updating recency and evicting the least recently used trace when over
-// capacity. Nil-safe (nil).
+// capacity.
 func (s *traceStore) tracer(id string) *obs.Tracer {
-	if s == nil || s.cap == 0 {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[id]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*traceEntry).tracer
+	if tr, ok := s.tracers.get(id); ok {
+		return tr
 	}
 	tr := obs.NewTracer(traceRingSpans)
-	s.items[id] = s.order.PushFront(&traceEntry{id: id, tracer: tr})
-	for s.order.Len() > s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.items, oldest.Value.(*traceEntry).id)
-	}
+	s.tracers.put(id, tr)
 	return tr
 }
 
 // bundle snapshots the collector for trace id as a TraceBundle, or reports
-// that the trace is unknown (never seen, or evicted). Nil-safe (not found).
+// that the trace is unknown (never seen, or evicted).
 func (s *traceStore) bundle(id, instance string) (obs.TraceBundle, bool) {
-	if s == nil {
-		return obs.TraceBundle{}, false
-	}
 	s.mu.Lock()
-	el, ok := s.items[id]
-	if ok {
-		s.order.MoveToFront(el)
-	}
+	tr, ok := s.tracers.get(id)
 	s.mu.Unlock()
 	if !ok {
 		return obs.TraceBundle{}, false
 	}
-	return el.Value.(*traceEntry).tracer.Bundle(id, instance), true
+	return tr.Bundle(id, instance), true
 }
 
-// len returns the number of retained traces. Nil-safe (0).
+// len returns the number of retained traces.
 func (s *traceStore) len() int {
-	if s == nil {
-		return 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.order.Len()
+	return s.tracers.len()
 }
 
 // handleTraceFetch is GET /v1/trace/{id}: the shard-trace return channel. A
@@ -109,11 +76,6 @@ func (s *traceStore) len() int {
 // (obs.WriteMergedTrace). 404 means the worker never collected the trace —
 // it saw no requests under that ID, or the collection was evicted.
 func (s *Server) handleTraceFetch(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeError(w, &httpError{status: http.StatusServiceUnavailable,
-			msg: "trace collection is disabled on this worker (-traces < 0)"})
-		return
-	}
 	id := r.PathValue("id")
 	if id == "" || len(id) > 64 {
 		writeError(w, badRequest("trace id must be 1-64 characters"))

@@ -124,41 +124,33 @@ func TestTraceCollectionAndFetch(t *testing.T) {
 // TestTraceStoreEviction: the per-trace store is a bounded LRU over trace
 // IDs and exports its occupancy as a gauge.
 func TestTraceStoreEviction(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxTraces: 2})
+	s, ts := newTestServer(t, Config{})
 	topo := testTopology(t, 10, 1)
-	for _, id := range []string{"aaa0", "bbb1", "ccc2"} {
-		if resp, body := postTraced(t, ts, "/v1/schedule", reqBody(t, topo, nil), id, 1); resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", id, resp.StatusCode, body)
+	ids := make([]string, traceCapacity+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%04x", i)
+		if resp, body := postTraced(t, ts, "/v1/schedule", reqBody(t, topo, nil), ids[i], 1); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", ids[i], resp.StatusCode, body)
 		}
 	}
-	if status, _ := fetchTrace(t, ts, "aaa0"); status != http.StatusNotFound {
+	if status, _ := fetchTrace(t, ts, ids[0]); status != http.StatusNotFound {
 		t.Fatalf("oldest trace not evicted: status %d", status)
 	}
-	for _, id := range []string{"bbb1", "ccc2"} {
+	for _, id := range []string{ids[1], ids[traceCapacity]} {
 		if status, b := fetchTrace(t, ts, id); status != http.StatusOK || len(b.Spans) == 0 {
 			t.Fatalf("%s: status=%d spans=%d", id, status, len(b.Spans))
 		}
 	}
 	var sb strings.Builder
 	s.metrics.WriteTo(&sb)
-	if !strings.Contains(sb.String(), "rayschedd_traces_retained 2") {
+	if !strings.Contains(sb.String(), fmt.Sprintf("rayschedd_traces_retained %d", traceCapacity)) {
 		t.Fatalf("retained-traces gauge wrong:\n%s", sb.String())
 	}
 }
 
-// TestTraceDisabledAndErrors: MaxTraces < 0 turns collection off — traced
-// requests still work, the fetch endpoint answers 503. On an enabled server
-// an unknown ID is 404 and an oversized one 400.
-func TestTraceDisabledAndErrors(t *testing.T) {
-	_, off := newTestServer(t, Config{MaxTraces: -1})
-	topo := testTopology(t, 10, 1)
-	if resp, body := postTraced(t, off, "/v1/schedule", reqBody(t, topo, nil), "abc", 1); resp.StatusCode != http.StatusOK {
-		t.Fatalf("traced request with collection off: status %d: %s", resp.StatusCode, body)
-	}
-	if status, _ := fetchTrace(t, off, "abc"); status != http.StatusServiceUnavailable {
-		t.Fatalf("disabled fetch status %d, want 503", status)
-	}
-
+// TestTraceFetchErrors: an unknown trace ID is 404 and an oversized one
+// 400.
+func TestTraceFetchErrors(t *testing.T) {
 	_, on := newTestServer(t, Config{})
 	if status, _ := fetchTrace(t, on, "beef"); status != http.StatusNotFound {
 		t.Fatalf("unknown trace status %d, want 404", status)
