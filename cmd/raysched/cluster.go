@@ -45,7 +45,7 @@ func cmdCluster(ctx context.Context, args []string) error {
 	out := fs.String("out", "", "write CSV output atomically to this file instead of stdout (implies -format csv)")
 	mergedCk := fs.String("merged-checkpoint", "", "keep the merged checkpoint at this path (default: a temp file, removed afterwards)")
 	prog := fs.Bool("progress", false, "report cluster-wide progress to stderr")
-	status := fs.Bool("status", false, "print a one-shot aggregated telemetry snapshot of every worker (/healthz + /metrics) and exit")
+	status := fs.Bool("status", false, "print a one-shot aggregated telemetry snapshot of every worker (one GET /healthz each) and exit")
 	of := registerObsFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -118,6 +118,65 @@ func TestClusterQuarantineReadmissionUnderBlackhole(t *testing.T) {
 	}
 }
 
+// TestClusterQuarantineCutShortByRunEnd: a worker still quarantined when the
+// run completes has its probe sleep cancelled by the run's end. That is not
+// death — nothing judged the worker — so it must not count in DeadWorkers.
+// The coordinator's Sleep blocks until the run ends, so the flaky worker is
+// deterministically mid-quarantine when its healthy peer lands the last shard.
+func TestClusterQuarantineCutShortByRunEnd(t *testing.T) {
+	w := testFigure1()
+
+	// The flaky worker fails every dispatch transiently. The healthy worker
+	// holds its first response until the flaky one has taken a shard, so the
+	// quarantine always happens.
+	gate := make(chan struct{})
+	var once sync.Once
+	flaky := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		once.Do(func() { close(gate) })
+		rw.Header().Set("Retry-After", "1")
+		http.Error(rw, `{"error":"unavailable"}`, http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(flaky.Close)
+	backend := server.New(server.Config{Workers: 2, QueueSize: 16})
+	healthy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/shard" {
+			<-gate
+		}
+		backend.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(func() { healthy.Close(); backend.Close() })
+
+	cc := fastClient()
+	cc.MaxAttempts = 1
+	co, err := New(Config{
+		Workers:       []string{flaky.URL, healthy.URL},
+		ShardSize:     1,
+		MaxAttempts:   20,
+		DeadAfter:     1,
+		ProbeInterval: 10 * time.Millisecond,
+		MaxProbes:     5,
+		HedgeAfter:    -1,
+		Client:        cc,
+		Sleep: func(ctx context.Context, _ time.Duration) error {
+			<-ctx.Done() // the probe wait outlasts the run
+			return ctx.Err()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats := clusterCSV(t, co, w)
+	if stats.Quarantined != 1 || stats.Readmitted != 0 {
+		t.Fatalf("stats %+v: want one quarantine still open at the end of the run", stats)
+	}
+	if stats.DeadWorkers != 0 {
+		t.Fatalf("stats %+v: a quarantine cut short by the end of the run is not death", stats)
+	}
+	if want := singleNodeCSV(t, w); !bytes.Equal(got, want) {
+		t.Fatal("cluster CSV differs from single-node run")
+	}
+}
+
 // TestClusterQuarantineRejectsVersionSkew: a worker that fails, quarantines,
 // and then presents a different build version on its re-admission probe must
 // be declared dead — merging its shards would break byte-identity. The run

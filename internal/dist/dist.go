@@ -58,6 +58,7 @@ import (
 	"rayfade/internal/obs"
 	"rayfade/internal/progress"
 	"rayfade/internal/rng"
+	"rayfade/internal/server"
 	"rayfade/internal/sim"
 	"rayfade/internal/version"
 )
@@ -203,16 +204,6 @@ type Stats struct {
 	DeadWorkers int
 }
 
-// workerHealth mirrors the rayschedd /healthz body.
-type workerHealth struct {
-	Status          string `json:"status"`
-	Version         string `json:"version"`
-	Instance        string `json:"instance"`
-	GoMaxProcs      int    `json:"gomaxprocs"`
-	ShardsInflight  int64  `json:"shards_inflight"`
-	ShardsCompleted int64  `json:"shards_completed"`
-}
-
 // Coordinator drives distributed runs against a fixed worker set.
 type Coordinator struct {
 	cfg Config
@@ -265,24 +256,25 @@ func (c *Coordinator) Discover(ctx context.Context) ([]WorkerInfo, error) {
 	return live, nil
 }
 
-func fetchHealth(ctx context.Context, httpClient *http.Client, baseURL string) (workerHealth, error) {
+// fetchHealth GETs and decodes one worker's /healthz document.
+func fetchHealth(ctx context.Context, httpClient *http.Client, baseURL string) (server.Health, error) {
 	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/healthz", nil)
 	if err != nil {
-		return workerHealth{}, err
+		return server.Health{}, err
 	}
 	resp, err := httpClient.Do(req)
 	if err != nil {
-		return workerHealth{}, err
+		return server.Health{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return workerHealth{}, fmt.Errorf("healthz status %d", resp.StatusCode)
+		return server.Health{}, fmt.Errorf("healthz status %d", resp.StatusCode)
 	}
-	var h workerHealth
+	var h server.Health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return workerHealth{}, err
+		return server.Health{}, err
 	}
 	return h, nil
 }
@@ -742,11 +734,8 @@ func (w *workerLoop) run(ctx context.Context, r *run) {
 				"worker", w.url, "lo", task.lo, "hi", task.hi,
 				"attempt", attemptN, "err", err.Error())
 			r.requeue(task, err)
-			if w.fails >= w.coord.cfg.DeadAfter {
-				if !w.quarantine(ctx, r) {
-					w.dead = true
-					return
-				}
+			if w.fails >= w.coord.cfg.DeadAfter && !w.quarantine(ctx, r) {
+				return
 			}
 		case outcomeCancelled:
 			if ctx.Err() != nil {
@@ -773,9 +762,11 @@ func (w *workerLoop) run(ctx context.Context, r *run) {
 // quarantine is the circuit breaker's open state: probe the worker's
 // /healthz on a jittered doubling backoff until it answers healthy (true —
 // re-admitted, failure count reset) or the probe budget is spent or its
-// identity fails re-validation (false — permanently dead). Probes use a
-// plain HTTP client, not the retrying one, so armed client-level chaos
-// (blackhole/latency) shapes dispatches without starving the probes.
+// identity fails re-validation (false, w.dead set — permanently dead). A
+// quarantine cut short by the end of the run also returns false but leaves
+// w.dead unset: nothing judged the worker. Probes use a plain HTTP client,
+// not the retrying one, so armed client-level chaos (blackhole/latency)
+// shapes dispatches without starving the probes.
 func (w *workerLoop) quarantine(ctx context.Context, r *run) bool {
 	r.mu.Lock()
 	r.stats.Quarantined++
@@ -797,7 +788,7 @@ func (w *workerLoop) quarantine(ctx context.Context, r *run) bool {
 			d = backoff / 4
 		}
 		if err := cfg.Sleep(ctx, d); err != nil {
-			return false
+			return false // the run ended
 		}
 		h, err := fetchHealth(ctx, httpClient, w.url)
 		if err != nil || h.Status != "ok" {
@@ -818,6 +809,7 @@ func (w *workerLoop) quarantine(ctx context.Context, r *run) bool {
 		if h.Version != version.Version {
 			w.coord.log.Error("dist: re-admission refused: version skew",
 				"worker", w.url, "worker_version", h.Version, "coordinator_version", version.Version)
+			w.dead = true
 			return false
 		}
 		if w.instance != "" && h.Instance != w.instance {
@@ -832,8 +824,12 @@ func (w *workerLoop) quarantine(ctx context.Context, r *run) bool {
 		w.coord.log.Info("dist: worker re-admitted", "worker", w.url, "probes", probe+1)
 		return true
 	}
+	if ctx.Err() != nil {
+		return false // the last probe failed because the run ended
+	}
 	w.coord.log.Warn("dist: worker declared dead",
 		"worker", w.url, "probes", cfg.MaxProbes)
+	w.dead = true
 	return false
 }
 

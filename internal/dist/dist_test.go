@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,7 +134,31 @@ func TestClusterByteIdentical(t *testing.T) {
 // byte-identical.
 func TestClusterSurvivesDeadWorker(t *testing.T) {
 	w := testFigure1()
-	urls := startWorkers(t, 2)
+	// The live workers hold their shard responses until the coordinator has
+	// declared the dead worker dead: a run that completes first would cut
+	// the quarantine short, which is not death.
+	declared := make(chan struct{})
+	var once sync.Once
+	log := slog.New(onLog(func(msg string) {
+		if msg == "dist: worker declared dead" {
+			once.Do(func() { close(declared) })
+		}
+	}))
+	urls := make([]string, 2)
+	for i := range urls {
+		backend := server.New(server.Config{Workers: 2, QueueSize: 16})
+		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				select {
+				case <-declared:
+				case <-time.After(10 * time.Second): // let a regression fail, not hang
+				}
+			}
+			backend.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(func() { ts.Close(); backend.Close() })
+		urls[i] = ts.URL
+	}
 	// A worker that accepts nothing: closed before the run begins.
 	deadTS := httptest.NewServer(http.NotFoundHandler())
 	deadURL := deadTS.URL
@@ -150,6 +176,7 @@ func TestClusterSurvivesDeadWorker(t *testing.T) {
 		ProbeInterval: time.Millisecond,
 		MaxProbes:     2,
 		Client:        fastClient(),
+		Log:           log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,6 +195,14 @@ func TestClusterSurvivesDeadWorker(t *testing.T) {
 		t.Fatal("cluster CSV with dead worker differs from single-node run")
 	}
 }
+
+// onLog is a slog.Handler that passes every record's message to the func.
+type onLog func(msg string)
+
+func (f onLog) Enabled(context.Context, slog.Level) bool      { return true }
+func (f onLog) Handle(_ context.Context, r slog.Record) error { f(r.Message); return nil }
+func (f onLog) WithAttrs([]slog.Attr) slog.Handler            { return f }
+func (f onLog) WithGroup(string) slog.Handler                 { return f }
 
 // TestClusterReassignsOnLeaseExpiry: a worker hangs on its first shard past
 // the lease; the shard is reassigned and the run still completes correctly.

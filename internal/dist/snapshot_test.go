@@ -15,7 +15,7 @@ import (
 )
 
 // TestSnapshotAggregates: a scrape sweep over live workers folds their
-// /healthz identity and /metrics series into per-worker and cluster totals.
+// /healthz documents into per-worker and cluster totals.
 func TestSnapshotAggregates(t *testing.T) {
 	urls := startWorkers(t, 2)
 	// Drive one counted request through each worker so the scrape has
@@ -44,7 +44,7 @@ func TestSnapshotAggregates(t *testing.T) {
 		if ws.Instance == "" || ws.Version == "" || ws.GoMaxProcs == 0 {
 			t.Fatalf("worker identity incomplete: %+v", ws)
 		}
-		var meta *EndpointSummary
+		var meta *server.EndpointSummary
 		for i := range ws.Endpoints {
 			if ws.Endpoints[i].Endpoint == "meta" {
 				meta = &ws.Endpoints[i]
@@ -143,45 +143,5 @@ func TestFetchTrace(t *testing.T) {
 
 	if _, err := co.FetchTrace(context.Background(), urls[0], "feedbeef"); !errors.Is(err, ErrTraceNotFound) {
 		t.Fatalf("unknown trace: %v, want ErrTraceNotFound", err)
-	}
-}
-
-// TestParsePromText: the exposition subset rayschedd renders, including
-// escaped quotes and backslashes inside label values.
-func TestParsePromText(t *testing.T) {
-	samples, err := parsePromText([]byte(`
-# HELP rayschedd_requests_total total
-# TYPE rayschedd_requests_total counter
-rayschedd_requests_total{endpoint="/v1/shard",code="200"} 12
-rayschedd_queue_depth 3
-weird{label="a\"b\\c"} 1.5
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 3 {
-		t.Fatalf("parsed %d samples: %+v", len(samples), samples)
-	}
-	if samples[0].name != "rayschedd_requests_total" || samples[0].value != 12 ||
-		samples[0].labels["endpoint"] != "/v1/shard" || samples[0].labels["code"] != "200" {
-		t.Fatalf("sample 0 = %+v", samples[0])
-	}
-	if samples[1].name != "rayschedd_queue_depth" || samples[1].value != 3 || len(samples[1].labels) != 0 {
-		t.Fatalf("sample 1 = %+v", samples[1])
-	}
-	if samples[2].labels["label"] != `a"b\c` {
-		t.Fatalf("escaped label = %q", samples[2].labels["label"])
-	}
-
-	for name, doc := range map[string]string{
-		"no value":     "rayschedd_queue_depth",
-		"bad value":    "rayschedd_queue_depth x",
-		"unterminated": `m{label="v} 1`,
-		"open braces":  `m{label="v" 1`,
-		"empty name":   `{label="v"} 1`,
-	} {
-		if _, err := parsePromText([]byte(doc)); err == nil {
-			t.Errorf("%s: accepted %q", name, doc)
-		}
 	}
 }

@@ -1,8 +1,7 @@
 // Package obs is the repo's zero-dependency observability layer: it gives
 // the sim engine, the algorithm packages, and rayschedd one shared
 // vocabulary for spans (hierarchical, nanosecond-timed sections of work),
-// counters (named atomic tallies), structured logging (log/slog), and
-// run/request identifiers.
+// structured logging (log/slog), and run/request identifiers.
 //
 // Design constraints, in order:
 //
@@ -10,7 +9,7 @@
 //     obs.Start(ctx, name) unconditionally; when no Tracer is installed
 //     (neither in ctx nor as the process default) the call returns a nil
 //     *Span and the original ctx, touching the heap not at all. Every Span
-//     and Counter method is nil-receiver-safe, so call sites never branch.
+//     method is nil-receiver-safe, so call sites never branch.
 //     This is what keeps the 0 allocs/op kernel benchmarks at 0 allocs/op.
 //  2. Deterministic workloads stay deterministic. obs never draws from the
 //     experiment RNG streams and never reorders work; enabling tracing must

@@ -4,11 +4,6 @@
 // background reporter that prints a status line to a writer at a fixed
 // interval.
 //
-// The counters live in an obs.Registry, the shared substrate of the
-// observability layer: the same tallies the status line renders are
-// visible to /debug/obs and any other registry view, so the progress
-// reporter is one face over the numbers rather than a private copy.
-//
 // The experiment harness (internal/sim) notifies a Tracker from many worker
 // goroutines at once; every counting method is safe for concurrent use and
 // cheap enough to call from inner loops. All methods are nil-receiver-safe,
@@ -20,16 +15,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"rayfade/internal/obs"
-)
-
-// Registry counter names a Tracker maintains.
-const (
-	CounterTotal        = "progress.replications_total"
-	CounterDone         = "progress.replications_done"
-	CounterRealizations = "progress.realizations"
 )
 
 // Tracker accumulates progress counters for one experiment run.
@@ -39,10 +26,9 @@ type Tracker struct {
 	start time.Time
 	now   func() time.Time // injectable clock; tests pin it for exact ETA math
 
-	reg          *obs.Registry
-	total        *obs.Counter // replications expected
-	done         *obs.Counter // replications completed
-	realizations *obs.Counter // fading realizations drawn
+	total        atomic.Int64 // replications expected
+	done         atomic.Int64 // replications completed
+	realizations atomic.Int64 // fading realizations drawn
 
 	mu     sync.Mutex // guards stop/wg lifecycle
 	stop   chan struct{}
@@ -50,38 +36,10 @@ type Tracker struct {
 	wg     sync.WaitGroup
 }
 
-// New creates a Tracker labelled for reporting, counting into a fresh
-// private registry. Reports go to w (typically os.Stderr); a nil w silences
-// reporting but keeps the counters live.
+// New creates a Tracker labelled for reporting. Reports go to w (typically
+// os.Stderr); a nil w silences reporting but keeps the counters live.
 func New(label string, w io.Writer) *Tracker {
-	return NewWithRegistry(label, w, obs.NewRegistry())
-}
-
-// NewWithRegistry creates a Tracker whose counters live in reg, so the same
-// tallies are visible to every other view of that registry (e.g. a daemon's
-// /debug/obs page). A nil reg behaves like New.
-func NewWithRegistry(label string, w io.Writer, reg *obs.Registry) *Tracker {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return &Tracker{
-		label:        label,
-		w:            w,
-		start:        time.Now(),
-		now:          time.Now,
-		reg:          reg,
-		total:        reg.Counter(CounterTotal),
-		done:         reg.Counter(CounterDone),
-		realizations: reg.Counter(CounterRealizations),
-	}
-}
-
-// Registry exposes the registry backing the counters. Nil-safe (nil).
-func (t *Tracker) Registry() *obs.Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
+	return &Tracker{label: label, w: w, start: time.Now(), now: time.Now}
 }
 
 // AddTotal registers n further expected replications. The harness calls it

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"rayfade/internal/obs"
 )
 
 func TestCounters(t *testing.T) {
@@ -216,28 +214,6 @@ func TestStartAfterStopRestarts(t *testing.T) {
 	tr.Stop()
 	if got := strings.Count(buf.String(), "exp:"); got != 2 {
 		t.Fatalf("expected 2 final lines, got %d:\n%s", got, buf.String())
-	}
-}
-
-// TestRegistryView asserts the counters are real obs.Registry entries, not
-// private copies: a snapshot of the shared registry sees every tick.
-func TestRegistryView(t *testing.T) {
-	reg := obs.NewRegistry()
-	tr := NewWithRegistry("exp", nil, reg)
-	tr.AddTotal(7)
-	tr.ReplicationDone()
-	tr.ReplicationDone()
-	tr.AddRealizations(500)
-	snap := reg.Snapshot()
-	if snap[CounterTotal] != 7 || snap[CounterDone] != 2 || snap[CounterRealizations] != 500 {
-		t.Fatalf("registry snapshot %v", snap)
-	}
-	if tr.Registry() != reg {
-		t.Fatal("Registry() accessor does not return the backing registry")
-	}
-	var nilTr *Tracker
-	if nilTr.Registry() != nil {
-		t.Fatal("nil tracker must report a nil registry")
 	}
 }
 

@@ -290,14 +290,29 @@ type topologyResponse struct {
 	Created bool `json:"created"`
 }
 
-// healthResponse is the /healthz body: liveness plus the worker identity a
+// Health is the GET /healthz body: liveness plus the worker identity a
 // cluster coordinator needs — which process it is talking to, how wide it is,
-// and how much shard work it is carrying.
-type healthResponse struct {
+// and how much shard work it is carrying — and the daemon's RED summary
+// (per-endpoint requests, errors, latency quantiles) and reuse tallies. It is
+// built in process from the same counters /metrics renders, so the two pages
+// never disagree; `raysched cluster -status` decodes it directly.
+type Health struct {
+	// Status is "ok" or "draining".
 	Status          string `json:"status"`
 	Version         string `json:"version"`
 	Instance        string `json:"instance"`
 	GoMaxProcs      int    `json:"gomaxprocs"`
 	ShardsInflight  int64  `json:"shards_inflight"`
 	ShardsCompleted int64  `json:"shards_completed"`
+
+	// Endpoints, sorted by name.
+	Endpoints []EndpointSummary `json:"endpoints"`
+
+	CacheHits          uint64 `json:"cache_hits"`
+	CacheMisses        uint64 `json:"cache_misses"`
+	SingleflightShared uint64 `json:"singleflight_shared"`
+	SessionHits        uint64 `json:"session_hits"`
+	SessionMisses      uint64 `json:"session_misses"`
+	BatchLines         uint64 `json:"batch_lines"`
+	TracesRetained     uint64 `json:"traces_retained"`
 }

@@ -6,8 +6,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
-	"rayfade/internal/obs"
 	"rayfade/internal/stats"
 )
 
@@ -22,79 +22,44 @@ const (
 	latBuckets = 32
 )
 
-// endpointStats aggregates one endpoint's counters. The request tallies are
-// obs.Registry counters (named "requests.<endpoint>.<code>"), so the same
-// numbers the Prometheus page renders are visible to /debug/obs — the
-// Prometheus text is one view over the shared registry, not a private copy.
+// endpointStats aggregates one endpoint's counters, guarded by Metrics.mu.
 type endpointStats struct {
-	byCode    map[int]*obs.Counter
+	byCode    map[int]uint64
 	latency   *stats.Histogram
 	seconds   float64 // total observed, for the _sum series
 	count     uint64
 	queueWait *stats.Histogram
 	waitSec   float64
 	waitCount uint64
-	shed      *obs.Counter // 429 queue-full rejections, lazily created
+	shed      uint64 // 429 queue-full rejections
 }
 
 // Metrics is the daemon's observability surface: per-endpoint request and
 // status-code counts, log-spaced latency and queue-wait histograms, and
 // gauges sampled at render time (queue depth, in-flight jobs, cache
 // occupancy). It renders in the Prometheus text exposition format using only
-// the stdlib.
+// the stdlib, and summarizes per endpoint for the /healthz document
+// (endpointSummaries).
 type Metrics struct {
 	mu        sync.Mutex
-	reg       *obs.Registry
 	endpoints map[string]*endpointStats
 
 	// counters are free-standing named counters (no endpoint/code labels)
 	// registered via Counter, e.g. the shard-completion tally.
-	counters map[string]*obs.Counter
+	counters map[string]*atomic.Int64
 
 	// gauges are sampled lazily at render time so Metrics has no coupling
 	// to the pool and cache beyond these closures.
 	gauges map[string]func() float64
-
-	// build identity, rendered as the rayschedd_build_info gauge when set
-	// (SetBuildInfo). Mirrors the /healthz identity fields so scrape-side
-	// joins and the health endpoint can never disagree.
-	buildVersion    string
-	buildInstance   string
-	buildGoMaxProcs int
 }
 
-// NewMetrics returns an empty registry backed by a private obs.Registry.
+// NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return NewMetricsWithRegistry(obs.NewRegistry())
-}
-
-// NewMetricsWithRegistry returns a Metrics whose counters live in reg, so
-// other views of the registry (the /debug/obs endpoint) see the same
-// tallies. A nil reg behaves like NewMetrics.
-func NewMetricsWithRegistry(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	return &Metrics{
-		reg:       reg,
 		endpoints: make(map[string]*endpointStats),
-		counters:  make(map[string]*obs.Counter),
+		counters:  make(map[string]*atomic.Int64),
 		gauges:    make(map[string]func() float64),
 	}
-}
-
-// Registry exposes the backing obs.Registry.
-func (m *Metrics) Registry() *obs.Registry { return m.reg }
-
-// SetBuildInfo records the daemon identity rendered as the
-// rayschedd_build_info gauge (constant value 1; the labels carry the
-// information, following the Prometheus build_info convention).
-func (m *Metrics) SetBuildInfo(version, instance string, gomaxprocs int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.buildVersion = version
-	m.buildInstance = instance
-	m.buildGoMaxProcs = gomaxprocs
 }
 
 // Gauge registers a named gauge sampled every time the registry renders.
@@ -105,14 +70,14 @@ func (m *Metrics) Gauge(name string, sample func() float64) {
 }
 
 // Counter registers (or returns the existing) free-standing counter rendered
-// under the given Prometheus series name. The counter lives in the backing
-// obs.Registry under the same name, so /debug/obs sees the same tally.
-func (m *Metrics) Counter(name string) *obs.Counter {
+// under the given Prometheus series name. Callers keep the pointer and count
+// on it directly, off the registry lock.
+func (m *Metrics) Counter(name string) *atomic.Int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.counters[name]
 	if !ok {
-		c = m.reg.Counter(name)
+		c = new(atomic.Int64)
 		m.counters[name] = c
 	}
 	return c
@@ -124,7 +89,7 @@ func (m *Metrics) stats(endpoint string) *endpointStats {
 	es, ok := m.endpoints[endpoint]
 	if !ok {
 		es = &endpointStats{
-			byCode:    make(map[int]*obs.Counter),
+			byCode:    make(map[int]uint64),
 			latency:   stats.NewHistogram(latLogLo, latLogHi, latBuckets),
 			queueWait: stats.NewHistogram(latLogLo, latLogHi, latBuckets),
 		}
@@ -144,17 +109,6 @@ func clampLog(seconds float64) float64 {
 		lg = latLogHi
 	}
 	return lg
-}
-
-// quantileLevels are the latency quantiles exported per endpoint, chosen to
-// match the RED-dashboard convention (median, tail, extreme tail).
-var quantileLevels = []struct {
-	label string
-	q     float64
-}{
-	{"0.5", 0.5},
-	{"0.95", 0.95},
-	{"0.99", 0.99},
 }
 
 // histQuantile inverts a log-spaced histogram at quantile q ∈ (0,1],
@@ -202,12 +156,7 @@ func (m *Metrics) Observe(endpoint string, code int, seconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	es := m.stats(endpoint)
-	c, ok := es.byCode[code]
-	if !ok {
-		c = m.reg.Counter(fmt.Sprintf("requests.%s.%d", endpoint, code))
-		es.byCode[code] = c
-	}
-	c.Add(1)
+	es.byCode[code]++
 	es.count++
 	if seconds > 0 && !math.IsNaN(seconds) {
 		es.seconds += seconds
@@ -219,16 +168,11 @@ func (m *Metrics) Observe(endpoint string, code int, seconds float64) {
 
 // ObserveShed records one request rejected at the door because the worker
 // queue was full — the load the daemon deliberately refused. Rendered as
-// rayschedd_shed_requests_total and mirrored in the obs registry as
-// "shed.<endpoint>".
+// rayschedd_shed_requests_total.
 func (m *Metrics) ObserveShed(endpoint string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	es := m.stats(endpoint)
-	if es.shed == nil {
-		es.shed = m.reg.Counter("shed." + endpoint)
-	}
-	es.shed.Add(1)
+	m.stats(endpoint).shed++
 }
 
 // ObserveQueueWait records how long one request waited for a pool worker.
@@ -246,6 +190,59 @@ func (m *Metrics) ObserveQueueWait(endpoint string, seconds float64) {
 	}
 }
 
+// sortedEndpoints lists the endpoint labels in render order. Callers hold
+// m.mu.
+func (m *Metrics) sortedEndpoints() []string {
+	eps := make([]string, 0, len(m.endpoints))
+	for ep := range m.endpoints {
+		eps = append(eps, ep)
+	}
+	sort.Strings(eps)
+	return eps
+}
+
+// EndpointSummary is the RED view of one endpoint: completed requests, the
+// subset answered with status >= 400, and latency quantiles in seconds
+// derived from the log-spaced histogram (0 without a positive-duration
+// observation).
+type EndpointSummary struct {
+	Endpoint string  `json:"endpoint"`
+	Requests uint64  `json:"requests"`
+	Errors   uint64  `json:"errors"`
+	P50      float64 `json:"p50_s"`
+	P95      float64 `json:"p95_s"`
+	P99      float64 `json:"p99_s"`
+}
+
+// endpointSummaries summarizes every endpoint with at least one completed
+// request, sorted by name — the same tallies WriteTo renders as
+// rayschedd_requests_total, read under the same lock.
+func (m *Metrics) endpointSummaries() []EndpointSummary {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []EndpointSummary
+	for _, ep := range m.sortedEndpoints() {
+		es := m.endpoints[ep]
+		if es.count == 0 {
+			continue
+		}
+		sum := EndpointSummary{
+			Endpoint: ep,
+			P50:      histQuantile(es.latency, 0.5),
+			P95:      histQuantile(es.latency, 0.95),
+			P99:      histQuantile(es.latency, 0.99),
+		}
+		for code, n := range es.byCode {
+			sum.Requests += n
+			if code >= 400 {
+				sum.Errors += n
+			}
+		}
+		out = append(out, sum)
+	}
+	return out
+}
+
 // WriteTo renders the registry in the Prometheus text format. Output order
 // is deterministic (endpoints, codes, and gauges sorted) so scrapes and
 // golden tests are stable.
@@ -259,11 +256,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		return err
 	}
 
-	eps := make([]string, 0, len(m.endpoints))
-	for ep := range m.endpoints {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
+	eps := m.sortedEndpoints()
 
 	if err := p("# HELP rayschedd_requests_total Completed requests by endpoint and status code.\n# TYPE rayschedd_requests_total counter\n"); err != nil {
 		return n, err
@@ -276,7 +269,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		}
 		sort.Ints(codes)
 		for _, c := range codes {
-			if err := p("rayschedd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, es.byCode[c].Load()); err != nil {
+			if err := p("rayschedd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, es.byCode[c]); err != nil {
 				return n, err
 			}
 		}
@@ -309,47 +302,13 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	// Derived latency quantiles, one gauge series per endpoint that has
-	// recorded at least one positive-duration observation — dashboards read
-	// these directly instead of re-deriving quantiles from the cumulative
-	// buckets above. Gauges, not summaries: they are recomputed from the
-	// full histogram at every scrape.
-	qHeader := false
-	for _, ep := range eps {
-		es := m.endpoints[ep]
-		if histQuantile(es.latency, 0.5) == 0 {
-			continue
-		}
-		if !qHeader {
-			if err := p("# HELP rayschedd_request_duration_quantile Request latency quantiles in seconds, derived from the log-spaced histogram at scrape time.\n# TYPE rayschedd_request_duration_quantile gauge\n"); err != nil {
-				return n, err
-			}
-			qHeader = true
-		}
-		for _, lvl := range quantileLevels {
-			if err := p("rayschedd_request_duration_quantile{endpoint=%q,quantile=%q} %g\n", ep, lvl.label, histQuantile(es.latency, lvl.q)); err != nil {
-				return n, err
-			}
-		}
-	}
-
-	// Build identity: constant-1 gauge whose labels mirror /healthz, the
-	// join key for cluster-wide scrapes. Rendered only once SetBuildInfo has
-	// run, so bare Metrics (and the seed golden outputs) are unchanged.
-	if m.buildInstance != "" || m.buildVersion != "" {
-		if err := p("# HELP rayschedd_build_info Daemon identity; constant 1, the labels carry the information.\n# TYPE rayschedd_build_info gauge\nrayschedd_build_info{version=%q,instance=%q,gomaxprocs=\"%d\"} 1\n",
-			m.buildVersion, m.buildInstance, m.buildGoMaxProcs); err != nil {
-			return n, err
-		}
-	}
-
 	// Shed-request series appear only for endpoints that have actually shed
 	// load, following the queue-wait precedent: quiet deployments (and the
 	// seed golden outputs) render unchanged.
 	shedHeader := false
 	for _, ep := range eps {
 		es := m.endpoints[ep]
-		if es.shed == nil || es.shed.Load() == 0 {
+		if es.shed == 0 {
 			continue
 		}
 		if !shedHeader {
@@ -358,7 +317,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 			}
 			shedHeader = true
 		}
-		if err := p("rayschedd_shed_requests_total{endpoint=%q} %d\n", ep, es.shed.Load()); err != nil {
+		if err := p("rayschedd_shed_requests_total{endpoint=%q} %d\n", ep, es.shed); err != nil {
 			return n, err
 		}
 	}

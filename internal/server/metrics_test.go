@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -53,16 +52,14 @@ func TestMetricsHistogramCumulative(t *testing.T) {
 	}
 }
 
-// TestQuantileSeries: the p50/p95/p99 gauges derived from the latency
-// histograms. Values are bucket-resolution (the log-spaced buckets span a
-// quarter decade), so the assertions use generous factor bounds rather than
-// exact equality.
+// TestQuantileSeries: the p50/p95/p99 the /healthz document carries per
+// endpoint, derived from the latency histograms. Values are
+// bucket-resolution (the log-spaced buckets span a quarter decade), so the
+// assertions use generous factor bounds rather than exact equality.
 func TestQuantileSeries(t *testing.T) {
 	m := NewMetrics()
-	var sb strings.Builder
-	m.WriteTo(&sb)
-	if strings.Contains(sb.String(), "rayschedd_request_duration_quantile") {
-		t.Fatalf("quantile series rendered with no observations:\n%s", sb.String())
+	if eps := m.endpointSummaries(); len(eps) != 0 {
+		t.Fatalf("summaries with no observations: %+v", eps)
 	}
 
 	// 100 requests at ~10ms and 10 stragglers at ~1s: the median must sit in
@@ -73,53 +70,19 @@ func TestQuantileSeries(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Observe("/v1/estimate", 200, 1.0)
 	}
-	sb.Reset()
-	m.WriteTo(&sb)
-	out := sb.String()
-	if !strings.Contains(out, "# TYPE rayschedd_request_duration_quantile gauge") {
-		t.Fatalf("quantile type header missing:\n%s", out)
+	eps := m.endpointSummaries()
+	if len(eps) != 1 || eps[0].Endpoint != "/v1/estimate" || eps[0].Requests != 110 {
+		t.Fatalf("summaries = %+v, want one /v1/estimate endpoint with 110 requests", eps)
 	}
-	q := map[string]float64{}
-	for _, line := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(line, `rayschedd_request_duration_quantile{endpoint="/v1/estimate"`) {
-			continue
-		}
-		var quant string
-		var v float64
-		if _, err := fmt.Sscanf(line, `rayschedd_request_duration_quantile{endpoint="/v1/estimate",quantile=%q} %g`, &quant, &v); err != nil {
-			t.Fatalf("unparsable quantile line %q: %v", line, err)
-		}
-		q[quant] = v
+	q := eps[0]
+	if q.P50 < 0.003 || q.P50 > 0.03 {
+		t.Fatalf("p50 = %g, want ~0.01", q.P50)
 	}
-	if len(q) != 3 {
-		t.Fatalf("got quantiles %v, want 0.5/0.95/0.99", q)
+	if q.P99 < 0.3 || q.P99 > 3 {
+		t.Fatalf("p99 = %g, want ~1.0", q.P99)
 	}
-	if q["0.5"] < 0.003 || q["0.5"] > 0.03 {
-		t.Fatalf("p50 = %g, want ~0.01", q["0.5"])
-	}
-	if q["0.99"] < 0.3 || q["0.99"] > 3 {
-		t.Fatalf("p99 = %g, want ~1.0", q["0.99"])
-	}
-	if !(q["0.5"] <= q["0.95"] && q["0.95"] <= q["0.99"]) {
-		t.Fatalf("quantiles not monotone: %v", q)
-	}
-}
-
-// TestBuildInfoRendersOnlyWhenSet: bare Metrics (no SetBuildInfo) must not
-// emit the build_info series, so outputs recorded before the gauge existed
-// stay byte-identical.
-func TestBuildInfoRendersOnlyWhenSet(t *testing.T) {
-	m := NewMetrics()
-	var sb strings.Builder
-	m.WriteTo(&sb)
-	if strings.Contains(sb.String(), "rayschedd_build_info") {
-		t.Fatalf("build_info rendered without SetBuildInfo:\n%s", sb.String())
-	}
-	m.SetBuildInfo("1.2.3", "abcd", 8)
-	sb.Reset()
-	m.WriteTo(&sb)
-	if !strings.Contains(sb.String(), `rayschedd_build_info{version="1.2.3",instance="abcd",gomaxprocs="8"} 1`) {
-		t.Fatalf("build_info missing after SetBuildInfo:\n%s", sb.String())
+	if !(q.P50 <= q.P95 && q.P95 <= q.P99) {
+		t.Fatalf("quantiles not monotone: %+v", q)
 	}
 }
 

@@ -127,7 +127,7 @@ func TestQueueWaitSeries(t *testing.T) {
 	}
 }
 
-// TestDebugObs: with Debug set, /debug/obs serves the counter snapshot and
+// TestDebugObs: with Debug set, /debug/obs serves the health document and
 // the request spans, and the pprof index is mounted; without Debug both 404.
 func TestDebugObs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Debug: true})
@@ -148,8 +148,14 @@ func TestDebugObs(t *testing.T) {
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("bad /debug/obs JSON: %v\n%s", err, body)
 	}
-	if doc.Counters[`requests./v1/schedule.200`] != 1 {
-		t.Fatalf("schedule counter missing from snapshot: %v", doc.Counters)
+	var scheduled uint64
+	for _, ep := range doc.Health.Endpoints {
+		if ep.Endpoint == "/v1/schedule" {
+			scheduled = ep.Requests
+		}
+	}
+	if scheduled != 1 || doc.Health.Instance == "" {
+		t.Fatalf("schedule request missing from the health document: %+v", doc.Health)
 	}
 	if doc.SpansRecorded == 0 || len(doc.RecentSpans) == 0 {
 		t.Fatalf("no spans recorded: %+v", doc)

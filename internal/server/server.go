@@ -10,9 +10,9 @@
 //	POST /v1/estimate/batch  NDJSON stream of estimate requests, one response line each
 //	POST /v1/topology        register a topology session; returns its sha256 topology_ref
 //	POST /v1/shard           distributed Monte-Carlo: replications [lo,hi) as a shard document
-//	GET  /healthz            liveness + version + worker identity (instance, GOMAXPROCS, shard load)
+//	GET  /healthz            JSON health: liveness, worker identity, shard load, per-endpoint RED, reuse tallies
 //	GET  /metrics            Prometheus text: requests, latency, queue wait, cache, sessions, queue
-//	GET  /debug/obs          (Config.Debug) counter snapshot + recent request spans
+//	GET  /debug/obs          (Config.Debug) the /healthz document + recent request spans
 //	GET  /debug/pprof/       (Config.Debug) net/http/pprof
 //
 // Production shape, stdlib only:
@@ -36,10 +36,10 @@
 //     pool job: a key being computed is a pending cache entry, and
 //     followers receive the leader's exact bytes (exported as
 //     rayschedd_singleflight_shared_total).
-//   - Observability. Per-endpoint request/status counts (obs.Registry
-//     counters, shared with /debug/obs), log-spaced latency and queue-wait
-//     histograms (reusing stats.Histogram), cache hit/miss, queue depth and
-//     in-flight gauges, rendered at /metrics; a request ID per response
+//   - Observability. Per-endpoint request/status counts, log-spaced latency
+//     and queue-wait histograms (reusing stats.Histogram), cache hit/miss,
+//     queue depth and in-flight gauges, rendered at /metrics and summarized
+//     as JSON at /healthz; a request ID per response
 //     (X-Request-ID) threaded through ctx, one structured access-log record
 //     per request, and an optional detached span per request. /healthz and
 //     /metrics record under the shared "meta" label so probe traffic cannot
@@ -99,8 +99,8 @@ type Config struct {
 	// endpoint, status, duration, queue wait). Nil discards — the zero-value
 	// Config stays silent, matching pre-observability behavior.
 	Log *slog.Logger
-	// Debug mounts the runtime-introspection surface: GET /debug/obs (counter
-	// snapshot + recent spans) and the net/http/pprof handlers under
+	// Debug mounts the runtime-introspection surface: GET /debug/obs (the
+	// /healthz document + recent spans) and the net/http/pprof handlers under
 	// /debug/pprof/. Off by default: these leak operational detail and must
 	// be opted into.
 	Debug bool
@@ -155,9 +155,9 @@ type Server struct {
 	// computation another request led. batchLines / batchLineErrors tally
 	// the NDJSON lines /v1/estimate/batch processed and how many of them
 	// answered an error document.
-	sfShared        *obs.Counter
-	batchLines      *obs.Counter
-	batchLineErrors *obs.Counter
+	sfShared        *atomic.Int64
+	batchLines      *atomic.Int64
+	batchLineErrors *atomic.Int64
 
 	// instance identifies this daemon process to cluster coordinators
 	// (reported by /healthz); fresh per New, stable for the process.
@@ -165,7 +165,7 @@ type Server struct {
 	// shardsInflight counts /v1/shard computations currently on pool
 	// workers; shardsCompleted tallies successfully sealed shard documents.
 	shardsInflight  atomic.Int64
-	shardsCompleted *obs.Counter
+	shardsCompleted *atomic.Int64
 
 	// draining gates new work intake: while set, POST endpoints answer 503 +
 	// Retry-After and /healthz reports "draining" so coordinators stop
@@ -199,7 +199,6 @@ func New(cfg Config) *Server {
 		traces:   newTraceStore(),
 		instance: obs.NewRunID(),
 	}
-	s.metrics.SetBuildInfo(version.Version, s.instance, runtime.GOMAXPROCS(0))
 	s.shardsCompleted = s.metrics.Counter("rayschedd_shards_completed_total")
 	s.sfShared = s.metrics.Counter("rayschedd_singleflight_shared_total")
 	s.batchLines = s.metrics.Counter("rayschedd_batch_lines_total")
@@ -814,19 +813,34 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// health assembles the /healthz document from the live counters.
+func (s *Server) health() Health {
 	status := "ok"
 	if s.draining.Load() {
 		status = "draining"
 	}
-	body, _ := json.Marshal(healthResponse{
-		Status:          status,
-		Version:         version.Version,
-		Instance:        s.instance,
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		ShardsInflight:  s.shardsInflight.Load(),
-		ShardsCompleted: s.shardsCompleted.Load(),
-	})
+	cacheHits, cacheMisses := s.cache.Stats()
+	sessionHits, sessionMisses, _ := s.sessions.Stats()
+	return Health{
+		Status:             status,
+		Version:            version.Version,
+		Instance:           s.instance,
+		GoMaxProcs:         runtime.GOMAXPROCS(0),
+		ShardsInflight:     s.shardsInflight.Load(),
+		ShardsCompleted:    s.shardsCompleted.Load(),
+		Endpoints:          s.metrics.endpointSummaries(),
+		CacheHits:          cacheHits,
+		CacheMisses:        cacheMisses,
+		SingleflightShared: uint64(s.sfShared.Load()),
+		SessionHits:        sessionHits,
+		SessionMisses:      sessionMisses,
+		BatchLines:         uint64(s.batchLines.Load()),
+		TracesRetained:     uint64(s.traces.len()),
+	}
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	body, _ := json.Marshal(s.health())
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -835,18 +849,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteTo(w)
 }
 
-// debugObsResponse is the GET /debug/obs body: the counter registry behind
-// /metrics plus the tracer's retained spans — the JSON face of the same
-// state the Prometheus page renders as text.
+// debugObsResponse is the GET /debug/obs body: the /healthz document plus
+// the tracer's retained spans.
 type debugObsResponse struct {
-	Counters      map[string]int64 `json:"counters"`
+	Health        Health           `json:"health"`
 	SpansRecorded uint64           `json:"spans_recorded"`
 	RecentSpans   []obs.SpanRecord `json:"recent_spans"`
 }
 
 func (s *Server) handleDebugObs(w http.ResponseWriter, r *http.Request) {
 	resp := debugObsResponse{
-		Counters:      s.metrics.Registry().Snapshot(),
+		Health:        s.health(),
 		SpansRecorded: s.tracer.Recorded(),
 		RecentSpans:   s.tracer.Snapshot(),
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -334,7 +335,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 	hb, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var h healthResponse
+	var h Health
 	if err := json.Unmarshal(hb, &h); err != nil || h.Status != "ok" || h.Version == "" {
 		t.Fatalf("healthz: %s", hb)
 	}
@@ -356,6 +357,144 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// promValues maps every sample line of a /metrics page, keyed by series name
+// plus label set exactly as rendered, to its value.
+func promValues(t *testing.T, text string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(text, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestHealthzAgreesWithMetrics: after estimate misses and hits, a session
+// upload plus a ref hit, an unknown ref, a batch and a malformed body, the
+// /healthz document and the /metrics page report the same number for
+// everything they share.
+func TestHealthzAgreesWithMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	topo := testTopology(t, 8, 3)
+	up := uploadTopology(t, ts, topo)
+	ref := func(ref string, seed int) []byte {
+		b, err := json.Marshal(map[string]any{"topology_ref": ref, "samples": 10, "seed": seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	inline := reqBody(t, topo, map[string]any{"samples": 10, "seed": 1})
+	for _, rq := range []struct {
+		path string
+		body []byte
+		code int
+	}{
+		{"/v1/estimate", inline, http.StatusOK},                                                       // cache miss
+		{"/v1/estimate", inline, http.StatusOK},                                                       // cache hit
+		{"/v1/estimate", ref(up.TopologyRef, 2), http.StatusOK},                                       // session hit
+		{"/v1/estimate", ref("sha256:"+strings.Repeat("0", 64), 2), http.StatusNotFound},              // session miss
+		{"/v1/estimate", []byte("{bad"), http.StatusBadRequest},                                       // 4xx
+		{"/v1/estimate/batch", ndjson(ref(up.TopologyRef, 1), ref(up.TopologyRef, 3)), http.StatusOK}, // two lines
+	} {
+		if resp, body := post(t, ts, rq.path, rq.body); resp.StatusCode != rq.code {
+			t.Fatalf("%s: status %d, want %d: %s", rq.path, resp.StatusCode, rq.code, body)
+		}
+	}
+
+	// A request's counters land just after its response is written, so wait
+	// for all seven (the upload plus the six above) before comparing.
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("the compute requests to be counted", func() bool {
+		var n uint64
+		for _, ep := range s.metrics.endpointSummaries() {
+			n += ep.Requests
+		}
+		return n == 7
+	})
+
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Health
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The /healthz request itself counts under "meta" once it completes;
+	// the document it served could not include it.
+	var m map[string]float64
+	waitFor("the /healthz request to be counted", func() bool {
+		m = promValues(t, metricsText(t, s))
+		return m[`rayschedd_request_duration_seconds_count{endpoint="meta"}`] == 1
+	})
+
+	reqs, errs := map[string]float64{}, map[string]float64{}
+	for key, v := range m {
+		rest, ok := strings.CutPrefix(key, `rayschedd_requests_total{endpoint="`)
+		if !ok {
+			continue
+		}
+		ep, code, _ := strings.Cut(rest, `",code="`)
+		reqs[ep] += v
+		if c, _ := strconv.Atoi(strings.TrimSuffix(code, `"}`)); c >= 400 {
+			errs[ep] += v
+		}
+	}
+	if reqs["meta"] != 1 {
+		t.Fatalf("meta requests on /metrics = %g, want the one /healthz", reqs["meta"])
+	}
+	delete(reqs, "meta")
+	if len(h.Endpoints) != len(reqs) {
+		t.Fatalf("/healthz endpoints %+v, /metrics endpoints %v", h.Endpoints, reqs)
+	}
+	for _, ep := range h.Endpoints {
+		count := m[`rayschedd_request_duration_seconds_count{endpoint="`+ep.Endpoint+`"}`]
+		if float64(ep.Requests) != reqs[ep.Endpoint] || float64(ep.Requests) != count || float64(ep.Errors) != errs[ep.Endpoint] {
+			t.Errorf("%s: /healthz %d reqs %d errs, /metrics %g reqs (count %g) %g errs",
+				ep.Endpoint, ep.Requests, ep.Errors, reqs[ep.Endpoint], count, errs[ep.Endpoint])
+		}
+	}
+	for name, got := range map[string]uint64{
+		"rayschedd_cache_hits_total":          h.CacheHits,
+		"rayschedd_cache_misses_total":        h.CacheMisses,
+		"rayschedd_singleflight_shared_total": h.SingleflightShared,
+		"rayschedd_session_hits_total":        h.SessionHits,
+		"rayschedd_session_misses_total":      h.SessionMisses,
+		"rayschedd_batch_lines_total":         h.BatchLines,
+		"rayschedd_traces_retained":           h.TracesRetained,
+		"rayschedd_shards_completed_total":    uint64(h.ShardsCompleted),
+		"rayschedd_shards_inflight":           uint64(h.ShardsInflight),
+	} {
+		if m[name] != float64(got) {
+			t.Errorf("%s: /healthz %d, /metrics %g", name, got, m[name])
+		}
+	}
+	// The mix must have exercised what it claims to, or agreement is vacuous.
+	if h.CacheHits == 0 || h.CacheMisses == 0 || h.SessionHits == 0 || h.SessionMisses == 0 || h.BatchLines != 2 {
+		t.Fatalf("mix left trivial tallies: %+v", h)
+	}
+	if errs["/v1/estimate"] != 2 {
+		t.Fatalf("/v1/estimate errors = %g, want the 404 and the 400", errs["/v1/estimate"])
 	}
 }
 

@@ -191,38 +191,3 @@ func TestRequestIDAdoption(t *testing.T) {
 		t.Fatalf("oversized inbound id adopted: %q", got)
 	}
 }
-
-// TestBuildInfoMatchesHealthz: the rayschedd_build_info gauge must carry the
-// same identity (version, instance, gomaxprocs) that /healthz reports, so a
-// scrape and a health probe can be joined on the labels.
-func TestBuildInfoMatchesHealthz(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var h struct {
-		Version    string `json:"version"`
-		Instance   string `json:"instance"`
-		GoMaxProcs int    `json:"gomaxprocs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if h.Version == "" || h.Instance == "" || h.GoMaxProcs == 0 {
-		t.Fatalf("healthz identity incomplete: %+v", h)
-	}
-
-	resp, err = http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	want := fmt.Sprintf(`rayschedd_build_info{version=%q,instance=%q,gomaxprocs="%d"} 1`,
-		h.Version, h.Instance, h.GoMaxProcs)
-	if !strings.Contains(string(metrics), want) {
-		t.Fatalf("build_info gauge does not match healthz:\nwant %s\nin:\n%s", want, metrics)
-	}
-}

@@ -84,6 +84,13 @@ cat "$dir/status.txt"
 grep -q 'cluster: 2/3 workers live' "$dir/status.txt"
 grep -q '18082' "$dir/status.txt"
 grep -q '18083' "$dir/status.txt"
+# The per-endpoint lines come from each worker's /healthz document: the
+# survivors computed the shards, so at least one must report /v1/shard
+# requests.
+if ! grep -Eq '^  /v1/shard +[1-9][0-9]* reqs' "$dir/status.txt"; then
+  echo "cluster-smoke: FAIL — no surviving worker reports /v1/shard requests in -status" >&2
+  exit 1
+fi
 echo "cluster-smoke: merged trace validated (3+ processes) and -status sees both survivors"
 
 # ---------------------------------------------------------------------------
