@@ -208,18 +208,37 @@ func (f onLog) WithGroup(string) slog.Handler                 { return f }
 // the lease; the shard is reassigned and the run still completes correctly.
 func TestClusterReassignsOnLeaseExpiry(t *testing.T) {
 	w := testFigure1()
-	urls := startWorkers(t, 2)
 	// A proxy in front of a healthy worker that stalls exactly one /v1/shard
 	// request beyond the lease.
 	backend := server.New(server.Config{Workers: 2, QueueSize: 16})
 	var hung atomic.Bool
+	stalled := make(chan struct{})
 	proxy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/shard" && hung.CompareAndSwap(false, true) {
+			close(stalled)
 			time.Sleep(400 * time.Millisecond)
 		}
 		backend.ServeHTTP(rw, r)
 	}))
 	t.Cleanup(func() { proxy.Close(); backend.Close() })
+	// The healthy workers hold their shard responses until the proxy has
+	// taken its first shard: the six tiny shards are otherwise drained
+	// before the proxy's worker loop dispatches at all.
+	urls := make([]string, 2)
+	for i := range urls {
+		backend := server.New(server.Config{Workers: 2, QueueSize: 16})
+		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				select {
+				case <-stalled:
+				case <-time.After(10 * time.Second): // let a regression fail, not hang
+				}
+			}
+			backend.ServeHTTP(rw, r)
+		}))
+		t.Cleanup(func() { ts.Close(); backend.Close() })
+		urls[i] = ts.URL
+	}
 
 	cc := fastClient()
 	cc.MaxAttempts = 1 // one try per lease, so the stall maps to one reassignment

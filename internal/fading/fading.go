@@ -347,29 +347,97 @@ func SampleSINRsInto(m *network.Matrix, active []bool, src *rng.Source, out []fl
 // active links whose realized SINR reaches β. Like SampleSINRs it allocates;
 // counting loops should use CountSuccesses with reused buffers.
 func SampleSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source) []int {
-	var ok []int
-	vals := SampleSINRs(m, active, src)
-	for i, a := range active {
-		if a && vals[i] >= beta {
-			ok = append(ok, i)
+	return SuccessesInto(m, active, beta, src, make([]float64, m.N), make([]int, 0, m.N), nil)
+}
+
+// SuccessesInto draws one Rayleigh realization and returns succ[:0] with the
+// indices of the active links whose realized SINR reaches β appended in
+// increasing order. It is the allocation-free form of SampleSuccesses when
+// succ has capacity m.N; out and idx are scratch as in CountSuccesses, and
+// the verdicts and stream consumed are CountSuccesses'.
+func SuccessesInto(m *network.Matrix, active []bool, beta float64, src *rng.Source, out []float64, idx []int, succ []int) []int {
+	checkScratch(m.N, out, idx)
+	idx = activeIndices(active, idx)
+	succ = succ[:0]
+	for _, i := range idx {
+		if rowSucceeds(m.Incoming(i), idx, i, m.Noise, beta, src, out) {
+			succ = append(succ, i)
 		}
 	}
-	return ok
+	return succ
 }
 
 // CountSuccesses draws one Rayleigh realization and counts the active links
 // whose realized SINR reaches β. It is the allocation-free counting kernel of
-// the Monte-Carlo experiments: out and idx follow the SampleSINRsInto scratch
-// convention, and the RNG stream consumed is identical to SampleSuccesses.
+// the Monte-Carlo experiments: out must have length m.N and idx capacity at
+// least m.N, and both are scratch whose contents afterwards are unspecified.
+//
+// The stream consumed is exactly SampleSINRsInto's, uniform for uniform,
+// and every verdict equals SampleSINRsInto's value compared with β; but a
+// receiver stops taking logarithms as soon as the interference drawn so far
+// rules success out (see rowSucceeds).
 func CountSuccesses(m *network.Matrix, active []bool, beta float64, src *rng.Source, out []float64, idx []int) int {
-	vals := SampleSINRsInto(m, active, src, out, idx)
+	checkScratch(m.N, out, idx)
+	idx = activeIndices(active, idx)
 	count := 0
-	for i, a := range active {
-		if a && vals[i] >= beta {
+	for _, i := range idx {
+		if rowSucceeds(m.Incoming(i), idx, i, m.Noise, beta, src, out) {
 			count++
 		}
 	}
 	return count
+}
+
+// rowSucceeds draws receiver i's incoming row of one Rayleigh realization,
+// over the active senders idx, and reports whether its SINR reaches β. u is
+// scratch of length ≥ the matrix size.
+//
+// The row's uniforms are drawn first, in sender order and skipping zero
+// gains, so the stream advances exactly as in SampleSINRsInto whatever the
+// verdict. The own signal is then computed, and the interferers are added
+// to ν in the same sender order as SampleSINRsInto adds them, with the
+// verdict checked after each one. The early exit is exact: in IEEE
+// round-to-nearest, adding a non-negative term never lowers a sum and
+// own/x never rises as x grows, so once own/interf < β no later term can
+// restore success. Counts are therefore bit-for-bit those of the full sum.
+func rowSucceeds(row []float64, idx []int, i int, noise, beta float64, src *rng.Source, u []float64) bool {
+	for _, j := range idx {
+		if row[j] != 0 {
+			u[j] = src.Float64Open()
+		}
+	}
+	var own float64
+	if row[i] != 0 {
+		own = -row[i] * math.Log(u[i])
+	}
+	interf := noise
+	if !reaches(own, interf, beta) {
+		return false
+	}
+	for _, j := range idx {
+		if j == i || row[j] == 0 {
+			continue
+		}
+		// The conversion keeps the product rounded on its own, as src.Exp
+		// returns it, on platforms that would fuse it into the sum.
+		interf += float64(-row[j] * math.Log(u[j]))
+		if !reaches(own, interf, beta) {
+			return false
+		}
+	}
+	return true
+}
+
+// reaches reports whether the SINR own/interf reaches β, with
+// SampleSINRsInto's convention for interf == 0: +Inf when own > 0, else 0.
+func reaches(own, interf, beta float64) bool {
+	if interf == 0 {
+		if own > 0 {
+			return math.Inf(1) >= beta
+		}
+		return 0 >= beta
+	}
+	return own/interf >= beta
 }
 
 // MCResult is a Monte-Carlo estimate with its standard error.

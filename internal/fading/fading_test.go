@@ -556,6 +556,23 @@ func BenchmarkSampleSINRs100(b *testing.B) {
 	}
 }
 
+// BenchmarkCountSuccesses100 is Figure 1's inner loop at the paper's size:
+// 100 links, every link transmitting with probability 1/2, β = 2.5.
+func BenchmarkCountSuccesses100(b *testing.B) {
+	m := randomMatrix(b, 1, 100)
+	src := rng.New(2)
+	active := make([]bool, 100)
+	vals := make([]float64, 100)
+	idx := make([]int, 0, 100)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range active {
+			active[k] = src.Bernoulli(0.5)
+		}
+		CountSuccesses(m, active, 2.5, src, vals, idx)
+	}
+}
+
 func BenchmarkExpectedSuccessesExact100(b *testing.B) {
 	m := randomMatrix(b, 1, 100)
 	q := UniformProbs(100, 0.5)

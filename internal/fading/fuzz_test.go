@@ -79,3 +79,41 @@ func FuzzObservation1(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCountSuccessesExact checks the early-exit success kernel against the
+// full SINR pass on arbitrary gain matrices: zero gains where mask has a
+// bit set, any noise level, any threshold (NaN, infinite and non-positive
+// ones included) and any activity density. The counts, the success lists
+// and the stream position must all agree with referenceSampleSINRs.
+func FuzzCountSuccessesExact(f *testing.F) {
+	f.Add(uint64(1), uint8(30), 0.5, 2.5, 4e-7, uint64(0))
+	f.Add(uint64(2), uint8(1), 1.0, 2.5, 0.0, uint64(0))
+	f.Add(uint64(3), uint8(12), 1.0, 0.0, 0.0, ^uint64(0))
+	f.Add(uint64(4), uint8(20), 0.9, -1.0, 1.0, uint64(0x5555555555555555))
+	f.Add(uint64(5), uint8(16), 0.7, 1e-3, 1e-12, uint64(0x0123456789abcdef))
+	f.Fuzz(func(t *testing.T, seed uint64, size uint8, density, beta, noise float64, mask uint64) {
+		if math.IsNaN(noise) || noise < 0 || math.IsInf(noise, 0) || math.IsNaN(density) {
+			t.Skip()
+		}
+		n := 1 + int(size)%40
+		src := rng.New(seed)
+		g := make([][]float64, n)
+		for j := range g {
+			g[j] = make([]float64, n)
+			for i := range g[j] {
+				if mask>>uint((j*n+i)%64)&1 == 0 {
+					g[j][i] = src.Exp(1)
+				}
+			}
+		}
+		m, err := network.NewMatrix(g, noise)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := math.Abs(math.Mod(density, 1))
+		if density >= 1 {
+			p = 1
+		}
+		checkSuccessesExact(t, m, randomActive(src, n, p), beta, src)
+	})
+}

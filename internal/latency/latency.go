@@ -85,15 +85,8 @@ func (r Rayleigh) Successes(m *network.Matrix, active []bool, beta float64) []in
 	if r.s == nil || len(r.s.vals) != m.N {
 		return fading.SampleSuccesses(m, active, beta, r.Src)
 	}
-	vals := fading.SampleSINRsInto(m, active, r.Src, r.s.vals, r.s.idx)
-	succ := r.s.succ[:0]
-	for i, a := range active {
-		if a && vals[i] >= beta {
-			succ = append(succ, i)
-		}
-	}
-	r.s.succ = succ
-	return succ
+	r.s.succ = fading.SuccessesInto(m, active, beta, r.Src, r.s.vals, r.s.idx, r.s.succ)
+	return r.s.succ
 }
 
 // Name implements SuccessModel.

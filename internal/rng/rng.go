@@ -27,8 +27,14 @@ import (
 //
 // A Source is not safe for concurrent use. Split off one child per goroutine
 // instead of sharing; splitting is cheap and the children are independent.
+//
+// The state is padded to a full 64-byte cache line. Every draw writes the
+// state, and SplitN allocates its children back to back: at 32 bytes two
+// children that run in parallel replications would share a line and every
+// draw would contend for it. A 64-byte heap object sits alone on its line.
 type Source struct {
 	s0, s1, s2, s3 uint64
+	_              [4]uint64
 }
 
 // splitMix64 advances a SplitMix64 state and returns the next output.

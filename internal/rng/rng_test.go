@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewDeterministic(t *testing.T) {
@@ -403,6 +404,25 @@ func TestSplitNDistinct(t *testing.T) {
 	}
 	if len(firsts) != 8 {
 		t.Fatalf("SplitN children overlapped: %d distinct first outputs of 8", len(firsts))
+	}
+}
+
+// TestSplitNChildrenOwnCacheLines pins the false-sharing fix: parallel
+// replications each write their own SplitN child on every draw, so no two
+// children may share a 64-byte cache line.
+func TestSplitNChildrenOwnCacheLines(t *testing.T) {
+	const line = 64
+	children := New(44).SplitN(64)
+	lines := map[uintptr]int{}
+	for k, c := range children {
+		start := uintptr(unsafe.Pointer(c))
+		end := start + unsafe.Sizeof(*c) - 1
+		for l := start / line; l <= end/line; l++ {
+			if prev, ok := lines[l]; ok {
+				t.Fatalf("children %d and %d share the cache line at %#x", prev, k, l*line)
+			}
+			lines[l] = k
+		}
 	}
 }
 
